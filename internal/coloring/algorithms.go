@@ -22,17 +22,20 @@ func (a LinialAlgorithm) Name() string { return "linial-coloring" }
 
 // NewMachine implements sim.Algorithm.
 func (a LinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
-	r, err := NewReducer(info.ID, a.Delta, IDSpace63)
-	if err != nil {
+	m := &linialMachine{nbr: make([]int64, info.Degree)}
+	if err := m.reducer.init(info.ID, a.Delta, IDSpace63); err != nil {
 		// Construction can only fail on delta < 1, a static misuse.
 		panic(err)
 	}
-	return &linialMachine{info: info, reducer: r}
+	return m
 }
 
+// linialMachine holds everything it needs from setup on: the reducer by
+// value and the neighbor-color scratch nbr, sized to the degree. Its
+// colour is sent through the recv window, boxed once per step.
 type linialMachine struct {
-	info    sim.NodeInfo
-	reducer *Reducer
+	reducer Reducer
+	nbr     []int64
 }
 
 // colorMsg carries a node's current color.
@@ -40,14 +43,13 @@ type colorMsg struct{ color int64 }
 
 func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 	if round > 0 {
-		nbr := make([]int64, len(recv))
 		for i, msg := range recv {
-			nbr[i] = -1
+			m.nbr[i] = -1
 			if cm, ok := msg.(colorMsg); ok {
-				nbr[i] = cm.color
+				m.nbr[i] = cm.color
 			}
 		}
-		if err := m.reducer.Advance(nbr); err != nil {
+		if err := m.reducer.Advance(m.nbr); err != nil {
 			// Invariant violation inside a deterministic lockstep schedule is
 			// a programming error, not a runtime condition.
 			panic(err)
@@ -56,11 +58,11 @@ func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 			return nil, true
 		}
 	}
-	send := make([]any, m.info.Degree)
-	for i := range send {
-		send[i] = colorMsg{color: m.reducer.Color()}
+	var msg any = colorMsg{color: m.reducer.Color()}
+	for i := range recv {
+		recv[i] = msg
 	}
-	return send, false
+	return recv, false
 }
 
 func (m *linialMachine) Output() any { return m.reducer.Color() }
@@ -81,7 +83,7 @@ func (TwoColorPathAlgorithm) Name() string { return "two-color-path" }
 
 // NewMachine implements sim.Algorithm.
 func (TwoColorPathAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
-	return &twoColorMachine{info: info}
+	return &twoColorMachine{deg: info.Degree, id: info.ID, ports: make([]endpointPort, info.Degree)}
 }
 
 // endpointMsg carries an endpoint's ID and the hop distance travelled so
@@ -91,54 +93,59 @@ type endpointMsg struct {
 	dist int
 }
 
+// endpointPort is what a node knows about the direction of one port.
+type endpointPort struct {
+	end   endpointMsg // the endpoint learned from this direction
+	known bool        // end is set
+	sent  bool        // the opposite endpoint was already forwarded here
+}
+
 type twoColorMachine struct {
-	info sim.NodeInfo
-	// ends[p] is the endpoint info learned from the direction of port p.
-	ends  []endpointMsg
-	known []bool
-	sent  []bool
+	deg   int
+	id    uint64
+	ports []endpointPort
 	out   int64
 }
 
+// Step floods endpoint announcements. A node sends at most once per port
+// over the whole run, so nearly every step returns nil; the rare sends are
+// written into the recv window.
 func (m *twoColorMachine) Step(round int, recv []any) ([]any, bool) {
-	if m.ends == nil {
-		m.ends = make([]endpointMsg, m.info.Degree)
-		m.known = make([]bool, m.info.Degree)
-		m.sent = make([]bool, m.info.Degree)
-	}
 	for p, msg := range recv {
-		if em, ok := msg.(endpointMsg); ok && !m.known[p] {
-			m.ends[p] = em
-			m.known[p] = true
+		if em, ok := msg.(endpointMsg); ok && !m.ports[p].known {
+			m.ports[p].end = em
+			m.ports[p].known = true
 		}
 	}
-	switch m.info.Degree {
+	clear(recv) // absorbed; from here on it is the send buffer
+	switch m.deg {
 	case 0:
 		m.out = 0
 		return nil, true
 	case 1:
 		// Endpoint: announce self once, then wait for the other endpoint.
 		var send []any
-		if !m.sent[0] {
-			send = []any{endpointMsg{id: m.info.ID, dist: 1}}
-			m.sent[0] = true
+		if !m.ports[0].sent {
+			recv[0] = endpointMsg{id: m.id, dist: 1}
+			send = recv
+			m.ports[0].sent = true
 		}
-		if m.known[0] {
-			m.out = m.colorFrom(endpointMsg{id: m.info.ID, dist: 0}, m.ends[0])
+		if m.ports[0].known {
+			m.out = m.colorFrom(endpointMsg{id: m.id, dist: 0}, m.ports[0].end)
 			return send, true
 		}
 		return send, false
 	default: // degree 2 interior node
-		send := make([]any, 2)
+		var send []any
 		for p := 0; p < 2; p++ {
-			other := 1 - p
-			if m.known[other] && !m.sent[p] {
-				send[p] = endpointMsg{id: m.ends[other].id, dist: m.ends[other].dist + 1}
-				m.sent[p] = true
+			if other := &m.ports[1-p]; other.known && !m.ports[p].sent {
+				recv[p] = endpointMsg{id: other.end.id, dist: other.end.dist + 1}
+				m.ports[p].sent = true
+				send = recv
 			}
 		}
-		if m.known[0] && m.known[1] {
-			m.out = m.colorFrom(m.ends[0], m.ends[1])
+		if m.ports[0].known && m.ports[1].known {
+			m.out = m.colorFrom(m.ports[0].end, m.ports[1].end)
 			return send, true
 		}
 		return send, false

@@ -1,7 +1,10 @@
 package coloring
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +283,82 @@ func TestReducerRejectsImproperInput(t *testing.T) {
 	}
 	if err := r.Advance([]int64{100}); err == nil {
 		t.Fatal("want error for identical neighbor color")
+	}
+}
+
+// TestReduceOnceFirstUncoveredPoint checks reduceOnce's choice against the
+// definition: the new color is the point (x, p_color(x)) with the smallest x
+// that no neighbor's polynomial covers. Δ = 40 outgrows the stack
+// coefficient buffer, so the heap fallback is checked too.
+func TestReduceOnceFirstUncoveredPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, delta := range []int{2, 5, 40} {
+		steps, _, err := PaletteSchedule(delta, IDSpace63)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := steps[0]
+		if heap := (delta+1)*(step.d+1) > maxStackCoeffs; heap != (delta == 40) {
+			t.Fatalf("delta %d: heap fallback %v, want %v", delta, heap, delta == 40)
+		}
+		poly := func(c int64) []int64 { return appendCoeffs(nil, c, step.d, step.q) }
+		for trial := 0; trial < 20; trial++ {
+			color := rng.Int63n(step.m)
+			nbrs := make([]int64, delta)
+			for i := range nbrs {
+				for nbrs[i] = color; nbrs[i] == color; {
+					nbrs[i] = rng.Int63n(step.m)
+				}
+			}
+			nc, err := reduceOnce(color, nbrs, step, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := nc/step.q, nc%step.q
+			if got := polyEval(poly(color), x, step.q); got != y {
+				t.Fatalf("delta %d: point (%d,%d) is not on the node's polynomial (%d)", delta, x, y, got)
+			}
+			for xi := int64(0); xi <= x; xi++ {
+				own := polyEval(poly(color), xi, step.q)
+				covered := false
+				for _, c := range nbrs {
+					covered = covered || polyEval(poly(c), xi, step.q) == own
+				}
+				if covered == (xi == x) {
+					t.Fatalf("delta %d: x=%d covered=%v, but reduceOnce chose x=%d", delta, xi, covered, x)
+				}
+			}
+		}
+	}
+}
+
+// TestSharedScheduleConcurrent builds reducers for several degree bounds
+// from many goroutines at once: each must see exactly the schedule
+// PaletteSchedule computes, whichever goroutine filled the shared table.
+func TestSharedScheduleConcurrent(t *testing.T) {
+	deltas := []int{1, 2, 3, 5, 8}
+	errs := make(chan error, 8*len(deltas))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range deltas {
+				r, err := NewReducer(uint64(g+1), d, IDSpace63)
+				if err != nil {
+					errs <- err
+					return
+				}
+				want, fix, _ := PaletteSchedule(d, IDSpace63)
+				if !slices.Equal(r.schedule, want) || r.greedyC != int(fix)-1 {
+					errs <- fmt.Errorf("delta %d: shared schedule differs from PaletteSchedule", d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -3,6 +3,8 @@ package coloring
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Reducer is the Linial iterated color-reduction engine for one node, usable
@@ -28,7 +30,9 @@ import (
 // Total rounds: O(log* n) + O(Δ²). The final palette is {0..Δ}: 3 colors on
 // paths.
 type Reducer struct {
-	delta    int
+	delta int
+	// schedule is shared by every reducer with this (Δ, ID space) and is
+	// never modified.
 	schedule []paletteStep
 	phase    int // index into schedule (reduction), then greedy countdown
 	greedyC  int // current color class being eliminated; < 0 when finished
@@ -99,23 +103,74 @@ func choosePoly(m int64, delta int) (d int, q int64, ok bool) {
 	return 0, 0, false
 }
 
+// scheduleKey identifies a palette schedule.
+type scheduleKey struct {
+	delta   int
+	idSpace float64
+}
+
+// sharedSchedule is one cached PaletteSchedule result.
+type sharedSchedule struct {
+	steps []paletteStep
+	fix   int64
+}
+
+// schedules memoizes PaletteSchedule, a pure function, one immutable
+// schedule per (Δ, ID space): every node of a run derives the same schedule,
+// so reducers share it instead of each recomputing its primes. The key space
+// is the degree bounds in use, so the table stays tiny.
+var schedules struct {
+	sync.Mutex
+	m map[scheduleKey]sharedSchedule
+}
+
+// cachedSchedule returns the shared PaletteSchedule for (delta, idSpace).
+// Callers must not modify the returned steps.
+func cachedSchedule(delta int, idSpace float64) ([]paletteStep, int64, error) {
+	key := scheduleKey{delta, idSpace}
+	schedules.Lock()
+	defer schedules.Unlock()
+	if s, ok := schedules.m[key]; ok {
+		return s.steps, s.fix, nil
+	}
+	steps, fix, err := PaletteSchedule(delta, idSpace)
+	if err != nil {
+		return nil, 0, err
+	}
+	if schedules.m == nil {
+		schedules.m = make(map[scheduleKey]sharedSchedule)
+	}
+	// Clip so an append by a future caller can never write into the
+	// shared backing array.
+	steps = slices.Clip(steps)
+	schedules.m[key] = sharedSchedule{steps: steps, fix: fix}
+	return steps, fix, nil
+}
+
 // NewReducer creates a reduction engine seeded with the node's identifier.
 // idSpace is the size of the ID space (use float64(1<<63) for 63-bit IDs).
 func NewReducer(id uint64, delta int, idSpace float64) (*Reducer, error) {
-	steps, fix, err := PaletteSchedule(delta, idSpace)
-	if err != nil {
+	r := new(Reducer)
+	if err := r.init(id, delta, idSpace); err != nil {
 		return nil, err
 	}
-	r := &Reducer{
+	return r, nil
+}
+
+// init seeds r in place, so a machine can embed its reducer by value.
+func (r *Reducer) init(id uint64, delta int, idSpace float64) error {
+	steps, fix, err := cachedSchedule(delta, idSpace)
+	if err != nil {
+		return err
+	}
+	*r = Reducer{
 		delta:    delta,
 		schedule: steps,
 		greedyC:  int(fix) - 1,
 		color:    int64(id),
+		done:     len(steps) == 0 && fix <= int64(delta)+1,
 	}
-	if len(steps) == 0 && fix <= int64(delta)+1 {
-		r.done = true
-	}
-	return r, nil
+	return nil
 }
 
 // Color returns the node's current color. After Done() reports true this is
@@ -157,15 +212,11 @@ func (r *Reducer) Advance(neighborColors []int64) error {
 		return nil
 	}
 	// Greedy elimination of color class r.greedyC.
+	// The ≤ Δ neighbor colors are scanned directly: the smallest color not
+	// among them is at most Δ, so the scan costs O(Δ²) and allocates nothing.
 	if r.color == int64(r.greedyC) {
-		used := make(map[int64]bool, r.delta)
-		for _, c := range neighborColors {
-			if c >= 0 {
-				used[c] = true
-			}
-		}
 		for c := int64(0); ; c++ {
-			if !used[c] {
+			if !slices.Contains(neighborColors, c) {
 				r.color = c
 				break
 			}
@@ -178,15 +229,26 @@ func (r *Reducer) Advance(neighborColors []int64) error {
 	return nil
 }
 
+// maxStackCoeffs bounds the coefficient scratch reduceOnce keeps on the
+// stack: (active neighbors + 1)·(d+1) words, which covers Δ ≤ 20 on 63-bit
+// identifiers. Larger steps fall back to one heap buffer per call.
+const maxStackCoeffs = 256
+
 // reduceOnce applies one polynomial reduction step.
 func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (int64, error) {
-	q := step.q
+	q, w := step.q, step.d+1
 	// Forbidden points: the union of neighbor color sets, restricted to the
 	// points we might pick. For each x in F_q our candidate point is
 	// (x, p_color(x)); it is covered by neighbor c' iff p_{c'}(x) equals
-	// p_color(x).
-	coeffs := polyCoeffs(color, step.d, q)
-	var nbrCoeffs [][]int64
+	// p_color(x). Every polynomial's coefficients are computed once, into
+	// consecutive w-word blocks: ours first, then each active neighbor's.
+	var stack [maxStackCoeffs]int64
+	coeffs := stack[:0]
+	if need := (len(neighbors) + 1) * w; need > len(stack) {
+		coeffs = make([]int64, 0, need)
+	}
+	coeffs = appendCoeffs(coeffs, color, step.d, q)
+	active := 0
 	for _, c := range neighbors {
 		if c < 0 {
 			continue
@@ -194,16 +256,18 @@ func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (in
 		if c == color {
 			return 0, fmt.Errorf("coloring: neighbor has identical color %d (improper input coloring)", c)
 		}
-		nbrCoeffs = append(nbrCoeffs, polyCoeffs(c, step.d, q))
+		coeffs = appendCoeffs(coeffs, c, step.d, q)
+		active++
 	}
-	if len(nbrCoeffs) > delta {
-		return 0, fmt.Errorf("coloring: %d active neighbors exceeds delta %d", len(nbrCoeffs), delta)
+	if active > delta {
+		return 0, fmt.Errorf("coloring: %d active neighbors exceeds delta %d", active, delta)
 	}
+	own, nbrs := coeffs[:w], coeffs[w:]
 	for x := int64(0); x < q; x++ {
-		y := polyEval(coeffs, x, q)
+		y := polyEval(own, x, q)
 		covered := false
-		for _, nb := range nbrCoeffs {
-			if polyEval(nb, x, q) == y {
+		for i := 0; i < len(nbrs); i += w {
+			if polyEval(nbrs[i:i+w], x, q) == y {
 				covered = true
 				break
 			}
@@ -216,14 +280,13 @@ func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (in
 	return 0, fmt.Errorf("coloring: no uncovered point for color %d (q=%d, d=%d)", color, q, step.d)
 }
 
-// polyCoeffs writes color in base q as d+1 coefficients.
-func polyCoeffs(color int64, d int, q int64) []int64 {
-	coeffs := make([]int64, d+1)
+// appendCoeffs appends color written in base q as d+1 coefficients.
+func appendCoeffs(dst []int64, color int64, d int, q int64) []int64 {
 	for i := 0; i <= d; i++ {
-		coeffs[i] = color % q
+		dst = append(dst, color%q)
 		color /= q
 	}
-	return coeffs
+	return dst
 }
 
 // polyEval evaluates the polynomial at x over F_q (Horner).

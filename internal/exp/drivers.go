@@ -487,6 +487,9 @@ func twoColoringGapSpec() *sweepSpec {
 			if err != nil {
 				return sweepPoint{}, err
 			}
+			if _, err := checkColoring(tr, r.Outputs, 2); err != nil {
+				return sweepPoint{}, fmt.Errorf("n=%d: %w", n, err)
+			}
 			avg := r.NodeAveraged()
 			boundary, crossed := shardTraffic(r)
 			return sweepPoint{
@@ -498,6 +501,28 @@ func twoColoringGapSpec() *sweepSpec {
 			}, nil
 		},
 	}
+}
+
+// checkColoring converts simulator outputs to colors, requiring every
+// output to be an int64 color in [0, palette) (any int64 when palette is 0)
+// and the colors to form a proper coloring of tr, so a point's rounds are
+// reported only for a correct execution.
+func checkColoring(tr *graph.Tree, outputs []any, palette int64) ([]int64, error) {
+	colors := make([]int64, len(outputs))
+	for v, o := range outputs {
+		c, ok := o.(int64)
+		if !ok {
+			return nil, fmt.Errorf("node %d output is %T, not an int64 color", v, o)
+		}
+		if palette > 0 && (c < 0 || c >= palette) {
+			return nil, fmt.Errorf("node %d color %d outside [0,%d)", v, c, palette)
+		}
+		colors[v] = c
+	}
+	if ok, u, v := coloring.VerifyProperColoring(tr, colors); !ok {
+		return nil, fmt.Errorf("improper coloring on edge {%d,%d}", u, v)
+	}
+	return colors, nil
 }
 
 // TwoColoringGap runs experiment E-C60 serially (the legacy driver API).

@@ -97,12 +97,10 @@ func (g Generic) NewMachine(info sim.NodeInfo) sim.Machine {
 		panic(fmt.Sprintf("hierarchy: node input must be its level (int), got %T", info.Input))
 	}
 	return &genericMachine{
-		info:     info,
-		sched:    g.Schedule,
-		level:    level,
-		nbrLevel: make([]int, info.Degree),
-		nbrOut:   make([]Label, info.Degree),
-		nbrDone:  make([]bool, info.Degree),
+		info:  info,
+		sched: g.Schedule,
+		level: level,
+		nbrs:  make([]neighborState, info.Degree),
 	}
 }
 
@@ -119,25 +117,37 @@ type (
 	linialMsg struct{ color int64 }
 )
 
+// neighborState is what a node has heard from the neighbor on one port.
+type neighborState struct {
+	level int   // Definition-8 level (0 = not heard yet)
+	out   Label // frozen output, once done
+	done  bool  // the neighbor has terminated
+}
+
+// segmentSide is what an exploring node knows about the direction of one
+// active port.
+type segmentSide struct {
+	info  segmentMsg // closure info from that direction
+	known bool       // info is set
+	sent  bool       // a closure was already sent on this port
+}
+
 type genericMachine struct {
 	info  sim.NodeInfo
 	sched *Schedule
 	level int
 
-	nbrLevel []int
-	nbrOut   []Label
-	nbrDone  []bool
+	nbrs []neighborState // per port
 
 	// exploration state (used during this node's own phase)
 	exploreInit bool
-	activePorts []int        // same-level active ports (≤ 2)
-	sideInfo    []segmentMsg // per active port: info from that direction
-	sideKnown   []bool
-	sideSent    []bool // per active port: whether a closure was already sent
+	activePorts []int         // same-level active ports (≤ 2)
+	sides       []segmentSide // per active port
 
 	// Linial reducer state (3½ phase k)
 	reducer      *coloring.Reducer
 	linialColors []int64 // last color heard per port (-1 = unknown/masked)
+	linialNbr    []int64 // per active port: the colors handed to the reducer
 
 	out Label
 }
@@ -147,17 +157,17 @@ func (m *genericMachine) Output() any { return m.out }
 func (m *genericMachine) Step(round int, recv []any) ([]any, bool) {
 	k := m.sched.params.Problem.K
 	if round == 0 {
-		send := make([]any, m.info.Degree)
-		for p := range send {
-			send[p] = levelMsg{level: m.level}
+		var msg any = levelMsg{level: m.level}
+		for p := range recv {
+			recv[p] = msg
 		}
 		if m.level == k+1 {
 			// Definition 8/9: all level-(k+1) nodes must output E; no
 			// adjacency condition, so they terminate immediately.
 			m.out = LabelE
-			return send, true
+			return recv, true
 		}
-		return send, false
+		return recv, false
 	}
 	m.absorb(recv)
 
@@ -171,9 +181,9 @@ func (m *genericMachine) Step(round int, recv []any) ([]any, bool) {
 	}
 
 	if m.level < k {
-		return m.stepInnerPhase(round)
+		return m.stepInnerPhase(round, recv)
 	}
-	return m.stepFinalPhase(round)
+	return m.stepFinalPhase(round, recv)
 }
 
 // absorb folds the received messages into neighbor-tracking state.
@@ -181,11 +191,11 @@ func (m *genericMachine) absorb(recv []any) {
 	for p, msg := range recv {
 		switch v := msg.(type) {
 		case levelMsg:
-			m.nbrLevel[p] = v.level
+			m.nbrs[p].level = v.level
 		case sim.Terminated:
 			if lab, ok := v.Output.(Label); ok {
-				m.nbrOut[p] = lab
-				m.nbrDone[p] = true
+				m.nbrs[p].out = lab
+				m.nbrs[p].done = true
 			}
 		case segmentMsg:
 			m.absorbSegment(p, v)
@@ -199,14 +209,14 @@ func (m *genericMachine) eligibleForE() bool {
 	k := m.sched.params.Problem.K
 	hasLowerColored := false
 	for p := 0; p < m.info.Degree; p++ {
-		if m.nbrLevel[p] == 0 || m.nbrLevel[p] >= m.level {
+		if m.nbrs[p].level == 0 || m.nbrs[p].level >= m.level {
 			continue
 		}
-		if m.nbrOut[p].IsBiColor() || m.nbrOut[p] == LabelE {
+		if m.nbrs[p].out.IsBiColor() || m.nbrs[p].out == LabelE {
 			hasLowerColored = true
 		}
 		if m.level == k {
-			if !m.nbrDone[p] || m.nbrOut[p] == LabelD {
+			if !m.nbrs[p].done || m.nbrs[p].out == LabelD {
 				return false
 			}
 		}
@@ -215,7 +225,8 @@ func (m *genericMachine) eligibleForE() bool {
 }
 
 // stepInnerPhase runs phases 1..k-1 for level-i nodes (i = m.level < k).
-func (m *genericMachine) stepInnerPhase(round int) ([]any, bool) {
+// Like every phase step it sends through recv, which absorb has consumed.
+func (m *genericMachine) stepInnerPhase(round int, recv []any) ([]any, bool) {
 	i := m.level
 	start := m.sched.Start(i)
 	decision := m.sched.DecisionRound(i)
@@ -225,7 +236,7 @@ func (m *genericMachine) stepInnerPhase(round int) ([]any, bool) {
 	if round == start {
 		m.initExploration()
 	}
-	send := m.relayClosures()
+	send := m.relayClosures(recv)
 	if round == decision {
 		gamma := m.sched.params.Gammas[i-1]
 		m.decidePath(gamma)
@@ -241,59 +252,58 @@ func (m *genericMachine) initExploration() {
 	m.exploreInit = true
 	m.activePorts = m.activePorts[:0]
 	for p := 0; p < m.info.Degree; p++ {
-		if m.nbrLevel[p] == m.level && !m.nbrDone[p] {
+		if m.nbrs[p].level == m.level && !m.nbrs[p].done {
 			m.activePorts = append(m.activePorts, p)
 		}
 	}
-	m.sideInfo = make([]segmentMsg, len(m.activePorts))
-	m.sideKnown = make([]bool, len(m.activePorts))
-	m.sideSent = make([]bool, len(m.activePorts))
+	m.sides = make([]segmentSide, len(m.activePorts))
 }
 
 func (m *genericMachine) absorbSegment(port int, msg segmentMsg) {
 	for a, p := range m.activePorts {
-		if p == port && !m.sideKnown[a] {
-			m.sideInfo[a] = msg
-			m.sideKnown[a] = true
+		if p == port && !m.sides[a].known {
+			m.sides[a].info = msg
+			m.sides[a].known = true
 		}
 	}
 }
 
 // relayClosures emits, on each active port, the closure information of the
 // opposite side as soon as it is known (an absent opposite side means this
-// node is an endpoint: it announces itself).
-func (m *genericMachine) relayClosures() []any {
+// node is an endpoint: it announces itself). It writes into recv, returning
+// it if anything was emitted and nil otherwise.
+func (m *genericMachine) relayClosures(recv []any) []any {
 	if !m.exploreInit {
 		return nil
 	}
-	var send []any
-	emit := func(port int, msg segmentMsg) {
-		if send == nil {
-			send = make([]any, m.info.Degree)
-		}
-		send[port] = msg
-	}
+	clear(recv)
+	sent := false
 	switch len(m.activePorts) {
 	case 0:
 		// Isolated active node: nothing to send.
 	case 1:
-		if !m.sideSent[0] {
-			emit(m.activePorts[0], segmentMsg{length: 1, endID: m.info.ID})
-			m.sideSent[0] = true
+		if !m.sides[0].sent {
+			recv[m.activePorts[0]] = segmentMsg{length: 1, endID: m.info.ID}
+			m.sides[0].sent = true
+			sent = true
 		}
 	case 2:
 		for a := 0; a < 2; a++ {
-			other := 1 - a
-			if m.sideKnown[other] && !m.sideSent[a] {
-				emit(m.activePorts[a], segmentMsg{
-					length: m.sideInfo[other].length + 1,
-					endID:  m.sideInfo[other].endID,
-				})
-				m.sideSent[a] = true
+			other := &m.sides[1-a]
+			if other.known && !m.sides[a].sent {
+				recv[m.activePorts[a]] = segmentMsg{
+					length: other.info.length + 1,
+					endID:  other.info.endID,
+				}
+				m.sides[a].sent = true
+				sent = true
 			}
 		}
 	}
-	return send
+	if !sent {
+		return nil
+	}
+	return recv
 }
 
 // segment returns the node's knowledge of its active path: whether both ends
@@ -304,11 +314,11 @@ func (m *genericMachine) segment() (closed bool, length, distToSmall int) {
 		id  uint64
 	}
 	sides := make([]side, 0, 2)
-	for a := range m.activePorts {
-		if !m.sideKnown[a] {
+	for _, sd := range m.sides {
+		if !sd.known {
 			return false, 0, 0
 		}
-		sides = append(sides, side{len: m.sideInfo[a].length, id: m.sideInfo[a].endID})
+		sides = append(sides, side{len: sd.info.length, id: sd.info.endID})
 	}
 	// Implicit own-side closure for endpoints/isolated nodes.
 	for len(sides) < 2 {
@@ -340,7 +350,7 @@ func (m *genericMachine) decidePath(gamma int) {
 
 // stepFinalPhase runs phase k: the remaining level-k nodes either 2-color
 // their segments (2½, by endpoint flooding) or 3-color them (3½, Linial).
-func (m *genericMachine) stepFinalPhase(round int) ([]any, bool) {
+func (m *genericMachine) stepFinalPhase(round int, recv []any) ([]any, bool) {
 	k := m.sched.params.Problem.K
 	start := m.sched.Start(k)
 	if round < start {
@@ -350,7 +360,7 @@ func (m *genericMachine) stepFinalPhase(round int) ([]any, bool) {
 		if round == start {
 			m.initExploration()
 		}
-		send := m.relayClosures()
+		send := m.relayClosures(recv)
 		if closed, _, dist := m.segment(); closed {
 			if dist%2 == 0 {
 				m.out = LabelW
@@ -373,13 +383,13 @@ func (m *genericMachine) stepFinalPhase(round int) ([]any, bool) {
 		for p := range m.linialColors {
 			m.linialColors[p] = -1
 		}
+		m.linialNbr = make([]int64, len(m.activePorts))
 	}
 	if round > start {
-		nbr := make([]int64, 0, len(m.activePorts))
-		for _, p := range m.activePorts {
-			nbr = append(nbr, m.linialColors[p])
+		for a, p := range m.activePorts {
+			m.linialNbr[a] = m.linialColors[p]
 		}
-		if err := m.reducer.Advance(nbr); err != nil {
+		if err := m.reducer.Advance(m.linialNbr); err != nil {
 			panic(err) // lockstep invariant violation is a programming error
 		}
 		if m.reducer.Done() {
@@ -387,11 +397,12 @@ func (m *genericMachine) stepFinalPhase(round int) ([]any, bool) {
 			return nil, true
 		}
 	}
-	send := make([]any, m.info.Degree)
+	clear(recv)
+	var msg any = linialMsg{color: m.reducer.Color()}
 	for _, p := range m.activePorts {
-		send[p] = linialMsg{color: m.reducer.Color()}
+		recv[p] = msg
 	}
-	return send, false
+	return recv, false
 }
 
 func (m *genericMachine) absorbLinial(port int, msg linialMsg) {

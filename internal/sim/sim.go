@@ -83,11 +83,22 @@ type NodeInfo struct {
 
 // Machine is the per-node state machine of a distributed algorithm.
 type Machine interface {
-	// Step executes one synchronous round. recv[i] holds the message received
-	// on port i this round (nil if the neighbor sent nothing). It returns the
-	// messages to send on each port next round (send may be nil or shorter
-	// than Degree; missing entries mean "no message") and whether the node
-	// terminates *now*. Once done is returned, Step is never called again.
+	// Step executes one synchronous round. recv has one slot per port: recv[i]
+	// holds the message received on port i this round (nil if the neighbor
+	// sent nothing). Step returns the messages to send on each port next
+	// round and whether the node terminates *now*. Once done is returned,
+	// Step is never called again.
+	//
+	// recv doubles as the send buffer. The engine owns it and copies every
+	// send out before it clears the window, so Step may overwrite recv with
+	// its outgoing messages and return it: a machine that does so, and
+	// returns nil on the steps where it sends nothing, allocates no message
+	// buffers at all. Ports it does not send on must then be set to nil. A
+	// returned slice of the machine's own is allowed too, and may be reused
+	// on the next step; it may be shorter than Degree (missing entries mean
+	// "no message") but must carry no message on a port >= Degree
+	// (ErrBadPort). recv itself must not be retained past the call. Every
+	// catalog machine sends through recv.
 	Step(round int, recv []any) (send []any, done bool)
 	// Output returns the node's final output; called only after termination.
 	Output() any

@@ -9,18 +9,25 @@ import (
 // maxIDAlg floods the maximum identifier: each node terminates once its
 // known maximum has been stable for eccentricity-many rounds. To keep the
 // test algorithm simple it terminates after exactly N rounds (a valid, if
-// slow, LOCAL algorithm) and outputs the maximum ID it has seen.
-type maxIDAlg struct{}
+// slow, LOCAL algorithm) and outputs the maximum ID it has seen. A positive
+// radius stops every node after that many rounds instead, when it has seen
+// exactly the IDs of its radius-ball.
+type maxIDAlg struct{ radius int }
 
 func (maxIDAlg) Name() string { return "flood-max-id" }
 
-func (maxIDAlg) NewMachine(info NodeInfo) Machine {
-	return &maxIDMachine{info: info, best: info.ID}
+func (a maxIDAlg) NewMachine(info NodeInfo) Machine {
+	stop := info.N
+	if a.radius > 0 {
+		stop = a.radius
+	}
+	return &maxIDMachine{info: info, best: info.ID, stop: stop}
 }
 
 type maxIDMachine struct {
 	info NodeInfo
 	best uint64
+	stop int
 }
 
 func (m *maxIDMachine) Step(round int, recv []any) ([]any, bool) {
@@ -36,7 +43,7 @@ func (m *maxIDMachine) Step(round int, recv []any) ([]any, bool) {
 			}
 		}
 	}
-	if round >= m.info.N {
+	if round >= m.stop {
 		return nil, true
 	}
 	send := make([]any, m.info.Degree)
@@ -69,6 +76,66 @@ func TestFloodMaxIDConverges(t *testing.T) {
 			t.Fatalf("node %d output %v, want %v", v, out, want)
 		}
 	}
+}
+
+// TestFloodKnowsExactlyRadiusBall pins the LOCAL model's locality: a node
+// that stops after r rounds has heard from exactly its radius-r ball, so its
+// flooded maximum is the largest ID within distance r.
+func TestFloodKnowsExactlyRadiusBall(t *testing.T) {
+	shapes := []*graph.Tree{
+		mustPath(t, 21),
+		mustStar(t, 9),
+		mustCaterpillar(t, 8, 2),
+	}
+	for si, tr := range shapes {
+		ids := SequentialIDs(tr.N())
+		for _, radius := range []int{1, 2, 4} {
+			res, err := NewEngine(WithIDs(ids)).Run(tr, maxIDAlg{radius: radius})
+			if err != nil {
+				t.Fatalf("shape %d radius %d: %v", si, radius, err)
+			}
+			for v := 0; v < tr.N(); v++ {
+				var want uint64
+				for _, u := range tr.Ball(v, radius) {
+					want = max(want, ids[u])
+				}
+				if got := res.Outputs[v].(uint64); got != want {
+					t.Fatalf("shape %d radius %d node %d: max ID %d, want %d",
+						si, radius, v, got, want)
+				}
+				if res.Rounds[v] != radius {
+					t.Fatalf("node %d terminated at %d, want %d", v, res.Rounds[v], radius)
+				}
+			}
+		}
+	}
+}
+
+func mustPath(t *testing.T, n int) *graph.Tree {
+	t.Helper()
+	tr, err := graph.BuildPath(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func mustStar(t *testing.T, n int) *graph.Tree {
+	t.Helper()
+	tr, err := graph.BuildStar(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func mustCaterpillar(t *testing.T, a, b int) *graph.Tree {
+	t.Helper()
+	tr, err := graph.BuildCaterpillar(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // copyNeighborAlg models the weighted-LCL dependency: node 0 (the "active"
